@@ -117,9 +117,10 @@ fn degraded_scenario(seed: u64, runs: usize, loss_bad: f64) -> Scenario {
     .with_runs(runs)
 }
 
-/// A per-test scratch path under the system temp dir.
-fn jts_path(name: &str) -> String {
-    let dir = std::env::temp_dir().join("jem-core-timeline-tests");
+/// A scratch path under a directory of its own for `test` in this
+/// process, so concurrent tests and test processes never share a file.
+fn jts_path(test: &str, name: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("jem-core-timeline-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name).to_str().unwrap().to_string()
 }
@@ -173,7 +174,7 @@ proptest! {
 
         let plain = run_with_sink(&scenario, Strategy::AdaptiveAdaptive, &mut NullSink);
 
-        let path = jts_path(&format!("onoff-{seed}-{loss_idx}.jts"));
+        let path = jts_path("onoff", &format!("onoff-{seed}-{loss_idx}.jts"));
         let mut tl_sink = TimelineSink::create(&path, EVERY_NS).unwrap();
         let timed = run_with_sink(&scenario, Strategy::AdaptiveAdaptive, &mut tl_sink);
         tl_sink.finish().unwrap();
@@ -187,6 +188,7 @@ proptest! {
         );
 
         let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         validate_jts(&bytes).expect("timeline validates");
         let tl = Timeline::read(&bytes).unwrap();
         prop_assert_eq!(tl.segments.len(), 1);
@@ -226,11 +228,12 @@ proptest! {
         run_with_sink(&scenario, Strategy::AdaptiveAdaptive, &mut ring);
         let events = ring.into_events();
 
-        let path = jts_path(&format!("window-{seed}-{loss_idx}.jts"));
+        let path = jts_path("window", &format!("window-{seed}-{loss_idx}.jts"));
         let mut sink = TimelineSink::create(&path, EVERY_NS).unwrap();
         drive(&mut sink, &events);
         sink.finish().unwrap();
         let tl = Timeline::read(&std::fs::read(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).ok();
         let seg = &tl.segments[0];
         let last = events.last().unwrap().at.nanos();
 
@@ -277,14 +280,14 @@ fn resumed_timeline_is_byte_identical() {
     let events = ring.into_events();
     assert!(events.len() > 100, "need a meaningful stream");
 
-    let golden_path = jts_path("resume-golden.jts");
+    let golden_path = jts_path("resume", "resume-golden.jts");
     let mut golden = TimelineSink::create(&golden_path, EVERY_NS).unwrap();
     drive(&mut golden, &events);
     golden.finish().unwrap();
     let golden_bytes = std::fs::read(&golden_path).unwrap();
 
     for cut in [1, events.len() / 3, events.len() / 2, events.len() - 1] {
-        let path = jts_path(&format!("resume-cut{cut}.jts"));
+        let path = jts_path("resume", &format!("resume-cut{cut}.jts"));
         let mut sink = TimelineSink::create(&path, EVERY_NS).unwrap();
         let mut ledger = jem_energy::EnergyBreakdown::new();
         for ev in &events[..cut] {
@@ -314,7 +317,9 @@ fn resumed_timeline_is_byte_identical() {
             golden_bytes,
             "cut at {cut}: resumed timeline must be byte-identical"
         );
+        std::fs::remove_file(&path).ok();
     }
+    std::fs::remove_file(&golden_path).ok();
 }
 
 // ---------------------------------------------------------------

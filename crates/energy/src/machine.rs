@@ -289,8 +289,10 @@ impl Machine {
     ///   credited in bulk via [`CacheSim::credit_hits`].
     /// * **D-cache** — data-bearing micros are replayed individually,
     ///   in issue order, at their true addresses (`frame_base +
-    ///   offset` for spills, `heap_addr` for the sequence's heap
-    ///   access), because heap locality is dynamic.
+    ///   offset` for spills; for the *k*-th heap micro,
+    ///   `heap_addrs[k]`, where `None` skips the access), because heap
+    ///   locality is dynamic. `heap_addrs` holds exactly one entry per
+    ///   heap micro ([`SeqPlan::heap_micros`]), in issue order.
     /// * **Core energy** — the per-micro `energy(class)` additions are
     ///   replayed individually in order (f64 addition is not
     ///   associative, so they cannot be pre-summed).
@@ -312,9 +314,14 @@ impl Machine {
         plan: &SeqPlan,
         code_base: u64,
         frame_base: u64,
-        heap_addr: Option<u64>,
+        heap_addrs: &[Option<u64>],
     ) {
         debug_assert_eq!(self.state, PowerState::Active, "step while powered down");
+        debug_assert_eq!(
+            heap_addrs.len(),
+            plan.nheap as usize,
+            "one heap address per heap micro"
+        );
         debug_assert_eq!(
             code_base % u64::from(plan.line_bytes),
             0,
@@ -339,13 +346,14 @@ impl Machine {
             }
         }
         if let Some(dcache) = &mut self.dcache {
+            let mut heap = heap_addrs.iter();
             for mem in plan.mems.iter() {
                 let addr = match *mem {
                     SeqDataRef::None => continue,
                     SeqDataRef::Frame { offset, .. } => frame_base + offset,
-                    SeqDataRef::Heap { .. } => match heap_addr {
-                        Some(a) => a,
-                        None => continue,
+                    SeqDataRef::Heap { .. } => match heap.next() {
+                        Some(&Some(a)) => a,
+                        _ => continue,
                     },
                 };
                 if !dcache.access(addr) {
@@ -763,8 +771,8 @@ pub struct SeqPlan {
     classes: Box<[(InstrClass, u64)]>,
     /// Micro count (= base cycles).
     n: u64,
-    /// Whether any [`SeqDataRef::Heap`] entry exists.
-    has_heap: bool,
+    /// Number of [`SeqDataRef::Heap`] entries.
+    nheap: u32,
     /// I-cache line size the line grouping assumes.
     line_bytes: u32,
 }
@@ -827,7 +835,7 @@ impl SeqPlan {
         let mut core = Vec::with_capacity(micros.len());
         let mut mems = Vec::new();
         let mut mix = InstrMix::new();
-        let mut has_heap = false;
+        let mut nheap = 0u32;
         for &(off, class, mem) in micros {
             match lines.last_mut() {
                 Some(&mut (first, ref mut extra)) if off / lb == first / lb => *extra += 1,
@@ -839,7 +847,7 @@ impl SeqPlan {
                 SeqDataRef::None => {}
                 SeqDataRef::Frame { .. } => mems.push(mem),
                 SeqDataRef::Heap { .. } => {
-                    has_heap = true;
+                    nheap += 1;
                     mems.push(mem);
                 }
             }
@@ -857,7 +865,7 @@ impl SeqPlan {
             mems: mems.into_boxed_slice(),
             classes: classes.into_boxed_slice(),
             n: micros.len() as u64,
-            has_heap,
+            nheap,
             line_bytes,
         }
     }
@@ -874,11 +882,11 @@ impl SeqPlan {
         self.n == 0
     }
 
-    /// True when replay needs a resolved heap address (the sequence
-    /// contains a heap-touching micro).
+    /// Number of heap-touching micros: the length of the address
+    /// slice [`Machine::step_seq`] takes for this plan.
     #[inline]
-    pub fn wants_heap_addr(&self) -> bool {
-        self.has_heap
+    pub fn heap_micros(&self) -> usize {
+        self.nheap as usize
     }
 }
 
@@ -1030,7 +1038,9 @@ mod tests {
     fn step_seq_is_bit_exact_with_per_micro_steps() {
         // Replaying a SeqPlan must leave the machine bit-identical to
         // the per-micro step loop it compiles: same energy bits, same
-        // cycles, mixes, and cache counters/residency.
+        // cycles, mixes, and cache counters/residency. Every heap micro
+        // takes its own address from the slice, in issue order, and a
+        // `None` entry skips exactly that micro's access.
         use InstrClass::*;
         let seqs: Vec<(u64, Vec<(InstrClass, SeqDataRef)>)> = vec![
             // Unaligned start, crosses a 32-byte line boundary.
@@ -1090,11 +1100,19 @@ mod tests {
             slow.step(rep * 96, Load, MemOp::Read(rep * 40));
             fast.step(rep * 96, Load, MemOp::Read(rep * 40));
             for ((start, micros), plan) in seqs.iter().zip(&plans) {
-                let heap_addr = if rep % 5 == 4 {
-                    None
-                } else {
-                    Some(0x8000 + rep * 24)
-                };
+                // A distinct address per heap micro. Entries are `None`
+                // for a whole replay every fifth rep, and otherwise for
+                // the micros `k` with `k % 3 == rep % 2`.
+                let heap_addrs: Vec<Option<u64>> = (0..plan.heap_micros() as u64)
+                    .map(|k| {
+                        if rep % 5 == 4 || (k % 3 == rep % 2) {
+                            None
+                        } else {
+                            Some(0x8000 + rep * 24 + k * 0x2a8)
+                        }
+                    })
+                    .collect();
+                let mut heap = heap_addrs.iter();
                 let mut pc = code_base + start;
                 for &(class, mem) in micros {
                     let op = match mem {
@@ -1107,7 +1125,7 @@ mod tests {
                                 MemOp::Read(a)
                             }
                         }
-                        SeqDataRef::Heap { store } => match heap_addr {
+                        SeqDataRef::Heap { store } => match *heap.next().unwrap() {
                             Some(a) if store => MemOp::Write(a),
                             Some(a) => MemOp::Read(a),
                             None => MemOp::None,
@@ -1116,7 +1134,8 @@ mod tests {
                     slow.step(pc, class, op);
                     pc += 4;
                 }
-                fast.step_seq(plan, code_base, frame_base, heap_addr);
+                assert!(heap.next().is_none(), "one address per heap micro");
+                fast.step_seq(plan, code_base, frame_base, &heap_addrs);
                 assert_eq!(slow.breakdown(), fast.breakdown(), "rep {rep}");
             }
         }

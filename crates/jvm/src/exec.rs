@@ -13,7 +13,9 @@
 //! The hot loop interprets compact fixed-size [`XOp`]s rather than the
 //! NIR itself: register numbers are pre-narrowed, operators pre-split
 //! into per-op variants, inline-cache slots precomputed, so dispatch
-//! is one match on a 16-byte op with no nested decoding.
+//! is one match on a 16-byte op with no nested decoding. Stretches
+//! between calls and allocations run as segments, charged once after
+//! their semantics (see [`crate::runplan`]).
 //!
 //! Results are bit-identical to the interpreter's: both engines share
 //! [`crate::arith`] and the same heap.
@@ -21,7 +23,7 @@
 use crate::arith::{f2i, fcmp, icmp};
 use crate::bytecode::{ClassId, MethodId};
 use crate::costs;
-use crate::runplan::{XCode, XOp, NONE, NO_RUN};
+use crate::runplan::{Seg, XCode, XOp, NONE, NO_SEG};
 use crate::value::{Type, Value};
 use crate::vm::Vm;
 use crate::VmError;
@@ -47,11 +49,10 @@ enum Ctl {
 /// identical to the full resolution path.
 ///
 /// `x` also carries the batched charge plans compiled at install time
-/// for this VM's machine: per-instruction plans plus merged
-/// multi-instruction runs whose charging is hoisted to the run head
-/// (see [`crate::runplan`]); replaying either is bit-exact with
-/// stepping the micros one by one (see
-/// [`jem_energy::Machine::step_seq`]).
+/// for this VM's machine: per-instruction plans plus one merged plan
+/// per segment, charged once after the segment's semantics ran (see
+/// [`crate::runplan`]); replaying either is bit-exact with stepping
+/// the micros one by one (see [`jem_energy::Machine::step_seq`]).
 ///
 /// # Errors
 /// Any [`VmError`] raised by the executed code.
@@ -95,72 +96,34 @@ fn run_inner(
         let ops = &xb.ops[..];
 
         loop {
-            // Batched fast path: a multi-instruction run starts here and
-            // the remaining step budget covers all of it, so the whole
-            // run's charges are hoisted ahead of its (machine-free,
-            // interior-infallible) semantics — bit-exact with the
-            // per-instruction path below (see [`crate::runplan`]).
-            let ri = xb.run_at[ii];
-            if ri != NO_RUN {
-                let run = &xb.runs[ri as usize];
-                if vm.options.step_budget.saturating_sub(vm.steps) >= run.steps {
-                    vm.machine.step_seq(&run.plan, base, frame_base, None);
-                    let end = ii + run.len as usize;
-                    vm.bump_steps(run.steps)?;
-                    for op in &ops[ii..end] {
-                        match step_semantics(vm, regs, op, ics, &x.args_pool)? {
-                            Ctl::Next => {}
-                            Ctl::Jump(b) => {
-                                block = b as usize;
-                                ii = 0;
-                                continue 'blocks;
-                            }
-                            Ctl::Ret(v) => return Ok(v),
-                        }
+            // Segment path: a segment starts here and the remaining
+            // step budget covers all of it, so its charges are deferred
+            // until its semantics ran (see [`crate::runplan`]).
+            let si = xb.seg_at[ii];
+            if si != NO_SEG {
+                let seg = &x.segs[si as usize];
+                if vm.options.step_budget.saturating_sub(vm.steps) >= seg.steps {
+                    match run_seg(vm, x, seg, base, frame_base, ics, regs)? {
+                        Ctl::Next => (block, ii) = (seg.resume.0 as usize, seg.resume.1 as usize),
+                        Ctl::Jump(b) => (block, ii) = (b as usize, 0),
+                        Ctl::Ret(v) => return Ok(v),
                     }
-                    ii = end;
-                    continue;
+                    continue 'blocks;
                 }
             }
 
+            // Per-instruction path: calls, allocations and step-budget
+            // cutoffs. Heap addresses are resolved before charging so
+            // the D-cache sees the true locations.
             let op = &ops[ii];
             let plan = &xb.plans[ii];
-
-            // Heap address for the (at most one) heap micro, resolved only
-            // when the plan needs it, before charging so the D-cache sees
-            // the true location.
-            let heap_addr: Option<u64> = if !plan.wants_heap_addr() {
-                None
-            } else {
-                match op {
-                    XOp::ALoad { arr, idx, .. } | XOp::AStore { arr, idx, .. } => {
-                        match (regs[*arr as usize], regs[*idx as usize]) {
-                            (Value::Ref(h), Value::Int(i)) if i >= 0 => {
-                                Some(vm.heap.element_address(h, i as usize))
-                            }
-                            _ => None,
-                        }
-                    }
-                    XOp::ArrLen { arr, .. } => match regs[*arr as usize] {
-                        Value::Ref(h) => Some(vm.heap.address_of(h)),
-                        _ => None,
-                    },
-                    XOp::GetField { obj, slot, .. } | XOp::PutField { obj, slot, .. } => {
-                        match regs[*obj as usize] {
-                            Value::Ref(h) => Some(vm.heap.field_address(h, *slot as usize)),
-                            _ => None,
-                        }
-                    }
-                    XOp::CallVirt { recv, .. } => match regs[*recv as usize] {
-                        Value::Ref(h) => Some(vm.heap.address_of(h)),
-                        _ => None,
-                    },
-                    _ => None,
-                }
-            };
-
-            // Charge the emitted micro sequence (batched, bit-exact).
-            vm.machine.step_seq(plan, base, frame_base, heap_addr);
+            let mut addrs = std::mem::take(&mut vm.heap_addrs);
+            addrs.clear();
+            if plan.heap_micros() > 0 {
+                addrs.resize(plan.heap_micros(), heap_addr(vm, regs, op));
+            }
+            vm.machine.step_seq(plan, base, frame_base, &addrs);
+            vm.heap_addrs = addrs;
             vm.bump_steps(plan.len().max(1))?;
 
             match step_semantics(vm, regs, op, ics, &x.args_pool)? {
@@ -176,9 +139,90 @@ fn run_inner(
     }
 }
 
-/// One instruction's semantics — charging has already happened on the
-/// caller's side (either per instruction or hoisted for a whole run).
+/// Run one segment: every op's semantics first, recording each heap
+/// micro's address before its op runs, then one charge for the whole
+/// segment. If op `k` fails, charge only the prefix `0..=k` through the
+/// per-instruction plans — exactly what the reference charged — and
+/// return the error. The caller has checked the step budget covers the
+/// whole segment.
+fn run_seg(
+    vm: &mut Vm<'_>,
+    x: &XCode,
+    seg: &Seg,
+    base: u64,
+    frame_base: u64,
+    ics: &[Cell<u64>],
+    regs: &mut [Value],
+) -> Result<Ctl, VmError> {
+    let mut addrs = std::mem::take(&mut vm.heap_addrs);
+    addrs.clear();
+    let mut ctl = Ctl::Next;
+    for (k, (op, &nheap)) in seg.ops.iter().zip(seg.heap.iter()).enumerate() {
+        if nheap > 0 {
+            let a = heap_addr(vm, regs, op);
+            addrs.extend(std::iter::repeat_n(a, usize::from(nheap)));
+        }
+        // Only the last op's control transfer counts: interior `Jmp`s
+        // were followed when the segment was built.
+        ctl = match step_semantics(vm, regs, op, ics, &x.args_pool) {
+            Ok(c) => c,
+            Err(e) => {
+                let mut rest = &addrs[..];
+                for &(b, i) in &seg.src[..=k] {
+                    let plan = &x.blocks[b as usize].plans[i as usize];
+                    let (now, later) = rest.split_at(plan.heap_micros());
+                    vm.machine.step_seq(plan, base, frame_base, now);
+                    rest = later;
+                    vm.bump_steps(plan.len().max(1))?;
+                }
+                vm.heap_addrs = addrs;
+                return Err(e);
+            }
+        };
+    }
+    vm.machine.step_seq(&seg.plan, base, frame_base, &addrs);
+    vm.heap_addrs = addrs;
+    vm.bump_steps(seg.steps)?;
+    Ok(ctl)
+}
+
+/// The simulated heap address `op` touches, from the registers as they
+/// are before its semantics run; `None` when the operands are not a
+/// reference (and a non-negative index), in which case the op fails.
 #[inline]
+fn heap_addr(vm: &Vm<'_>, regs: &[Value], op: &XOp) -> Option<u64> {
+    match op {
+        XOp::ALoad { arr, idx, .. } | XOp::AStore { arr, idx, .. } => {
+            match (regs[*arr as usize], regs[*idx as usize]) {
+                (Value::Ref(h), Value::Int(i)) if i >= 0 => {
+                    Some(vm.heap.element_address(h, i as usize))
+                }
+                _ => None,
+            }
+        }
+        XOp::ArrLen { arr, .. } => match regs[*arr as usize] {
+            Value::Ref(h) => Some(vm.heap.address_of(h)),
+            _ => None,
+        },
+        XOp::GetField { obj, slot, .. } | XOp::PutField { obj, slot, .. } => {
+            match regs[*obj as usize] {
+                Value::Ref(h) => Some(vm.heap.field_address(h, *slot as usize)),
+                _ => None,
+            }
+        }
+        XOp::CallVirt { recv, .. } => match regs[*recv as usize] {
+            Value::Ref(h) => Some(vm.heap.address_of(h)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// One instruction's semantics. Charging is the caller's: before it on
+/// the per-instruction path, after the whole segment on the segment
+/// path. Inlined into both paths: a call per op would cost as much as
+/// the op itself.
+#[inline(always)]
 fn step_semantics(
     vm: &mut Vm<'_>,
     regs: &mut [Value],

@@ -1,5 +1,5 @@
-//! Pre-decoded execution form and run-level batched charge planning
-//! for the native executor.
+//! Pre-decoded execution form and superblock charge planning for the
+//! native executor.
 //!
 //! Installing native code compiles a [`NativeCode`] object into an
 //! [`XCode`]: the executable plan [`crate::exec`] actually runs. It
@@ -12,58 +12,68 @@
 //!    operators split into per-op variants (no inner operator match at
 //!    run time), call argument lists pooled into one flat side table,
 //!    and each virtual call's inline-cache slot index precomputed.
-//! 2. **Batched charge plans** — a per-instruction [`SeqPlan`] (the
-//!    reference-shaped path) plus merged multi-instruction *runs*
-//!    whose charging is hoisted to the run head.
+//! 2. **Charge plans** — a per-instruction [`SeqPlan`] (the
+//!    reference-shaped path) plus one merged plan per *segment*
+//!    ([`Seg`]): a superblock whose charging is deferred until all of
+//!    its semantics have run.
 //!
-//! # Why hoisting run charges is bit-exact
+//! # Segments
+//!
+//! A segment starts at every block entry and after every call or
+//! allocation. It follows unconditional `Jmp` chains into blocks it
+//! has not visited yet, and ends at a `Br`, a `Ret`, a `Jmp` back to a
+//! block it already visited, or just before the next `Call`,
+//! `CallVirt`, `NewArr` or `NewObj`. Those four are the only ops whose
+//! semantics touch the simulated [`Machine`](jem_energy::Machine)
+//! (calls recurse into the VM, allocations charge a zeroing mix); they
+//! run on the per-instruction path.
+//!
+//! # Why deferred charging is bit-exact
 //!
 //! The reference execution model interleaves accounting and semantics
 //! per instruction: charge the instruction's emitted micro sequence,
-//! then run its semantics, then the next instruction. For most
-//! straight-line NIR that interleaving is unobservable — the semantics
-//! of register-only instructions never touch the simulated
-//! [`Machine`](jem_energy::Machine), so the machine sees the exact same
-//! event sequence whether the charges land one instruction at a time
-//! or all at once at the head of the run. A run must preserve that
-//! equivalence on **every** path, including errors, so its shape is
-//! constrained:
+//! then run its semantics, then the next instruction. Inside a segment
+//! no semantics touch the machine, so the machine sees the same event
+//! sequence when every charge lands after the segment's last
+//! semantics, provided each stream keeps its own order:
 //!
-//! * No instruction in a run may touch the machine from its semantics
-//!   (allocations charge a zeroing mix, calls recurse into the VM) or
-//!   carry a heap-addressed micro (the D-cache needs the address
-//!   resolved *after* the preceding semantics ran). Such instructions
-//!   execute on the per-instruction path.
-//! * Every instruction except the last must have **infallible**
-//!   semantics: if semantics `i` could fail, the reference sequence
-//!   stops after charge `i`, while the batched sequence already
-//!   charged the whole run. Infallibility is proven by a conservative
-//!   forward type inference over the virtual registers ([`Ty`]): only
-//!   values the engine itself constructed (constants, arithmetic
-//!   results, conversions, copies of those) get a known type —
-//!   arguments, heap loads and call returns are never trusted. A
-//!   fallible instruction may still *end* a run: the reference charges
-//!   it before running its semantics, so both engines have charged
-//!   exactly the same prefix when the error surfaces.
-//! * The step budget is handled by the executor: the batched path is
-//!   only taken when the remaining budget covers the whole run, so the
-//!   folded `bump_steps` cannot fail mid-run; otherwise the
-//!   per-instruction path reproduces the reference budget error
-//!   exactly.
+//! * the merged plan replays I-cache fetches (each op at its own fetch
+//!   offsets, see [`SeqPlan::compile_at`]), D-cache accesses and Core
+//!   energy additions in op order;
+//! * each heap micro's address is read from the registers just before
+//!   its op's semantics run — the register state the reference
+//!   charges from — and handed to [`Machine::step_seq`] in issue
+//!   order, one address per heap micro (no segment allocates, so no
+//!   address moves in between);
+//! * the DRAM accumulator only ever receives the same `main_memory`
+//!   constant, so a different interleaving of I- and D-cache misses
+//!   leaves it bit-identical; cycles and the mix are integer sums.
 //!
-//! Because the semantics inside a run never touch the I-cache, the
-//! merged plan's consecutive fetches remain back-to-back, which is
-//! precisely the property [`SeqPlan`] line grouping relies on.
+//! # Errors and the step budget
+//!
+//! If op *k* of a segment fails, the reference has charged ops
+//! `0..=k` (op *k* is charged before its semantics run) and nothing
+//! after. The executor then skips the merged plan and replays the
+//! per-instruction plans of ops `0..=k` with their recorded addresses,
+//! bumping the same steps, before it returns the error. No op inside a
+//! segment therefore has to be proven infallible.
+//!
+//! A segment is only entered when the remaining step budget covers all
+//! of it, so neither the folded bump nor a prefix replay can cross the
+//! budget; otherwise the per-instruction path reproduces the reference
+//! budget error exactly.
+//!
+//! [`Machine::step_seq`]: jem_energy::Machine::step_seq
 
 use crate::bytecode::{Cond, FBin, IBin};
 use crate::costs::NATIVE_INSTR_BYTES;
 use crate::emit::{Micro, MicroMem, NativeCode};
-use crate::nir::{NFunc, NInst, VReg};
+use crate::nir::{NInst, VReg};
 use crate::value::Type;
 use jem_energy::{InstrClass, MachineConfig, SeqDataRef, SeqPlan};
 
-/// Sentinel for [`XBlock::run_at`] slots where no batched run starts.
-pub const NO_RUN: u32 = u32::MAX;
+/// Sentinel for [`XBlock::seg_at`] slots where no segment starts.
+pub const NO_SEG: u32 = u32::MAX;
 
 /// Sentinel register number meaning "absent" (void call destination,
 /// void return). Valid registers are `< NONE` — enforced at decode.
@@ -402,6 +412,8 @@ pub enum XOp {
 pub struct XCode {
     /// Per-block executable form.
     pub blocks: Vec<XBlock>,
+    /// Segments, indexed by [`XBlock::seg_at`].
+    pub segs: Vec<Seg>,
     /// Register file size.
     pub nregs: u32,
     /// Pooled call-argument registers (see [`XOp::Call`]).
@@ -409,8 +421,7 @@ pub struct XCode {
 }
 
 /// One basic block of an [`XCode`]: decoded ops, the per-instruction
-/// charge plans (the reference-shaped path) and the batched
-/// multi-instruction runs layered over them.
+/// charge plans (the reference-shaped path) and the segment starts.
 #[derive(Debug)]
 pub struct XBlock {
     /// Pre-decoded instructions.
@@ -418,195 +429,33 @@ pub struct XBlock {
     /// Per-instruction batched charge plan (one straight-line emitted
     /// micro sequence each).
     pub plans: Vec<SeqPlan>,
-    /// Multi-instruction batched runs (each covers ≥ 2 instructions).
-    pub runs: Vec<SeqRun>,
-    /// `run_at[ii]` is the index into [`XBlock::runs`] of the run
-    /// starting at instruction `ii`, or [`NO_RUN`].
-    pub run_at: Vec<u32>,
+    /// `seg_at[ii]` is the index into [`XCode::segs`] of the segment
+    /// starting at instruction `ii`, or [`NO_SEG`].
+    pub seg_at: Vec<u32>,
 }
 
-/// One batched run: a maximal straight-line stretch of instructions
-/// whose charging is hoisted to the run head.
+/// One segment: a superblock whose charging is deferred until its
+/// semantics have run (see the module docs).
 #[derive(Debug)]
-pub struct SeqRun {
-    /// Number of instructions covered.
-    pub len: u32,
-    /// Step-budget cost of the whole run: `Σ max(1, micros_i)`,
+pub struct Seg {
+    /// The covered ops in execution order, copied across followed
+    /// jumps.
+    pub ops: Box<[XOp]>,
+    /// Per op: its number of heap micros, i.e. how many addresses the
+    /// executor records before the op runs.
+    pub heap: Box<[u8]>,
+    /// Per op: the `(block, instruction)` of its per-instruction plan,
+    /// replayed on the error path.
+    pub src: Box<[(u32, u32)]>,
+    /// Step-budget cost of the whole segment: `Σ max(1, micros_i)`,
     /// matching what the per-instruction path would bump.
     pub steps: u64,
-    /// The merged charge plan (never heap-addressed).
+    /// The merged charge plan.
     pub plan: SeqPlan,
-}
-
-/// Inferred virtual-register type, for proving semantics infallible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ty {
-    /// Definitely `Value::Int`.
-    Int,
-    /// Definitely `Value::Float`.
-    Float,
-    /// Definitely a reference or null (never `Int`/`Float`).
-    Other,
-    /// Unknown / conflicting — assume nothing.
-    Any,
-}
-
-fn meet(a: Ty, b: Ty) -> Ty {
-    if a == b {
-        a
-    } else {
-        Ty::Any
-    }
-}
-
-/// Apply one instruction's register effect to the type state. The
-/// state describes the *success* path — the only path that continues —
-/// so besides typing the def, an instruction *refines* its operands:
-/// `FAdd a, b` only continues if both unwrapped as floats, so every
-/// later use may assume `Float`. This is what lets an untrusted
-/// ([`Ty::Any`]) argument register break a run once at its first use
-/// instead of at every use on every loop iteration.
-fn apply(inst: &NInst, tys: &mut [Ty]) {
-    fn set(tys: &mut [Ty], d: VReg, t: Ty) {
-        tys[d.0 as usize] = t;
-    }
-    // Operand refinement (before the def: the def overwrites on
-    // overlap).
-    match inst {
-        NInst::IBinOp { a, b, .. } | NInst::ICmpOp { a, b, .. } | NInst::BrCond { a, b, .. } => {
-            set(tys, *a, Ty::Int);
-            set(tys, *b, Ty::Int);
-        }
-        NInst::IShlImm { a, .. } | NInst::INegOp { a, .. } | NInst::I2FOp { a, .. } => {
-            set(tys, *a, Ty::Int)
-        }
-        NInst::FBinOp { a, b, .. } | NInst::FCmpOp { a, b, .. } => {
-            set(tys, *a, Ty::Float);
-            set(tys, *b, Ty::Float);
-        }
-        NInst::FNegOp { a, .. } | NInst::F2IOp { a, .. } => set(tys, *a, Ty::Float),
-        NInst::NewArr { len, .. } => set(tys, *len, Ty::Int),
-        NInst::ALoadOp { arr, idx, .. } => {
-            set(tys, *arr, Ty::Other);
-            set(tys, *idx, Ty::Int);
-        }
-        NInst::AStoreOp { arr, idx, .. } => {
-            set(tys, *arr, Ty::Other);
-            set(tys, *idx, Ty::Int);
-        }
-        NInst::ArrLenOp { arr, .. } => set(tys, *arr, Ty::Other),
-        NInst::GetFieldOp { obj, .. } | NInst::PutFieldOp { obj, .. } => set(tys, *obj, Ty::Other),
-        NInst::CallVirtOp { recv, .. } => set(tys, *recv, Ty::Other),
-        _ => {}
-    }
-    match inst {
-        NInst::IConst { d, .. } => set(tys, *d, Ty::Int),
-        NInst::FConst { d, .. } => set(tys, *d, Ty::Float),
-        NInst::NullConst { d } => set(tys, *d, Ty::Other),
-        NInst::Mov { d, s } => tys[d.0 as usize] = tys[s.0 as usize],
-        NInst::IBinOp { d, .. }
-        | NInst::IShlImm { d, .. }
-        | NInst::INegOp { d, .. }
-        | NInst::ICmpOp { d, .. }
-        | NInst::FCmpOp { d, .. }
-        | NInst::F2IOp { d, .. }
-        | NInst::ArrLenOp { d, .. } => set(tys, *d, Ty::Int),
-        NInst::FBinOp { d, .. } | NInst::FNegOp { d, .. } | NInst::I2FOp { d, .. } => {
-            set(tys, *d, Ty::Float)
-        }
-        NInst::NewArr { d, .. } | NInst::NewObj { d, .. } => set(tys, *d, Ty::Other),
-        // Values materialized from outside the engine's own register
-        // dataflow are never trusted.
-        NInst::ALoadOp { d, .. } | NInst::GetFieldOp { d, .. } => set(tys, *d, Ty::Any),
-        NInst::CallOp { d, .. } | NInst::CallVirtOp { d, .. } => {
-            if let Some(d) = d {
-                set(tys, *d, Ty::Any);
-            }
-        }
-        NInst::AStoreOp { .. }
-        | NInst::PutFieldOp { .. }
-        | NInst::Jmp { .. }
-        | NInst::BrCond { .. }
-        | NInst::Ret { .. } => {}
-    }
-}
-
-/// Whether `inst`'s semantics provably cannot return an error, given
-/// the register types on entry to the instruction.
-fn infallible(inst: &NInst, tys: &[Ty]) -> bool {
-    let int = |r: &VReg| tys[r.0 as usize] == Ty::Int;
-    let flt = |r: &VReg| tys[r.0 as usize] == Ty::Float;
-    match inst {
-        NInst::IConst { .. }
-        | NInst::FConst { .. }
-        | NInst::NullConst { .. }
-        | NInst::Mov { .. }
-        | NInst::Jmp { .. }
-        | NInst::Ret { .. } => true,
-        // Div/Rem fail on a zero divisor regardless of types.
-        NInst::IBinOp { op, a, b, .. } => !matches!(op, IBin::Div | IBin::Rem) && int(a) && int(b),
-        NInst::IShlImm { a, .. } | NInst::INegOp { a, .. } | NInst::I2FOp { a, .. } => int(a),
-        NInst::ICmpOp { a, b, .. } | NInst::BrCond { a, b, .. } => int(a) && int(b),
-        NInst::FBinOp { a, b, .. } | NInst::FCmpOp { a, b, .. } => flt(a) && flt(b),
-        NInst::FNegOp { a, .. } | NInst::F2IOp { a, .. } => flt(a),
-        // Heap, allocation and call instructions never sit inside a
-        // run, so their fallibility is moot — report fallible.
-        _ => false,
-    }
-}
-
-/// Forward type inference: the register type state on entry to every
-/// block. Non-argument registers start as `Int` (the executor
-/// zero-initializes the register file with `Value::Int(0)`); argument
-/// registers start as [`Ty::Any`] because caller-supplied values are
-/// not trusted.
-fn infer(func: &NFunc, nargs: usize) -> Vec<Vec<Ty>> {
-    let nregs = func.nregs as usize;
-    let mut entry = vec![Ty::Int; nregs];
-    for t in entry.iter_mut().take(nargs.min(nregs)) {
-        *t = Ty::Any;
-    }
-    let mut states: Vec<Option<Vec<Ty>>> = vec![None; func.blocks.len()];
-    states[0] = Some(entry);
-    let mut work = vec![0usize];
-    while let Some(b) = work.pop() {
-        let mut tys = states[b].clone().expect("worklist block has a state");
-        for inst in &func.blocks[b].insts {
-            apply(inst, &mut tys);
-        }
-        let succs: [Option<usize>; 2] = match func.blocks[b].insts.last() {
-            Some(NInst::Jmp { target }) => [Some(target.0 as usize), None],
-            Some(NInst::BrCond { then_, else_, .. }) => {
-                [Some(then_.0 as usize), Some(else_.0 as usize)]
-            }
-            _ => [None, None],
-        };
-        for succ in succs.into_iter().flatten() {
-            match &mut states[succ] {
-                Some(old) => {
-                    let mut changed = false;
-                    for (o, n) in old.iter_mut().zip(&tys) {
-                        let m = meet(*o, *n);
-                        if m != *o {
-                            *o = m;
-                            changed = true;
-                        }
-                    }
-                    if changed {
-                        work.push(succ);
-                    }
-                }
-                slot @ None => {
-                    *slot = Some(tys.clone());
-                    work.push(succ);
-                }
-            }
-        }
-    }
-    states
-        .into_iter()
-        .map(|s| s.unwrap_or_else(|| vec![Ty::Any; nregs]))
-        .collect()
+    /// `(block, instruction)` where execution continues when the last
+    /// op falls through, i.e. the segment ended before a call or an
+    /// allocation.
+    pub resume: (u32, u32),
 }
 
 /// The `(byte offset, class, data ref)` micros of one emitted
@@ -774,109 +623,123 @@ fn decode_op(inst: &NInst, ic: u32, pool: &mut Vec<u16>) -> XOp {
     }
 }
 
+/// Whether `op`'s semantics touch the machine: calls recurse into
+/// the VM and allocations charge a zeroing mix. Segments end before
+/// these ops.
+fn touches_machine(op: &XOp) -> bool {
+    matches!(
+        op,
+        XOp::Call { .. } | XOp::CallVirt { .. } | XOp::NewArr { .. } | XOp::NewObj { .. }
+    )
+}
+
+/// Build the segment starting at instruction `ii` of block `b`, or
+/// `None` when that instruction touches the machine.
+fn segment(
+    config: &MachineConfig,
+    line_bytes: u32,
+    code: &NativeCode,
+    blocks: &[XBlock],
+    mut b: usize,
+    mut ii: usize,
+    scratch: &mut Vec<(u64, InstrClass, SeqDataRef)>,
+) -> Option<Seg> {
+    let mut visited = vec![b];
+    let (mut ops, mut heap, mut src) = (Vec::new(), Vec::new(), Vec::new());
+    let mut steps = 0u64;
+    scratch.clear();
+    loop {
+        let op = &blocks[b].ops[ii];
+        if touches_machine(op) {
+            break;
+        }
+        let seq = &code.micros[b][ii];
+        inst_micros(seq, code.offsets[b][ii], scratch);
+        steps += (seq.len() as u64).max(1);
+        ops.push(op.clone());
+        heap.push(
+            u8::try_from(blocks[b].plans[ii].heap_micros())
+                .expect("an emitted instruction has at most one heap micro"),
+        );
+        src.push((b as u32, ii as u32));
+        ii += 1;
+        match *op {
+            XOp::Jmp { t } if !visited.contains(&(t as usize)) => {
+                b = t as usize;
+                ii = 0;
+                visited.push(b);
+            }
+            XOp::Jmp { .. } | XOp::Br { .. } | XOp::Ret { .. } => break,
+            _ => {}
+        }
+    }
+    (!ops.is_empty()).then(|| Seg {
+        ops: ops.into_boxed_slice(),
+        heap: heap.into_boxed_slice(),
+        src: src.into_boxed_slice(),
+        steps,
+        plan: SeqPlan::compile_at(&config.table, line_bytes, scratch),
+        resume: (b as u32, ii as u32),
+    })
+}
+
 /// Compile `code` into its executable plan against `config`'s energy
 /// table and I-cache geometry: pre-decoded ops, per-instruction charge
-/// plans and batched runs. `nargs` is the method's invoke arity
-/// (argument registers are typed [`Ty::Any`]). Grouping at
-/// `line_bytes.min(32)` is sound because code bases are 32-byte
-/// aligned (see [`SeqPlan::compile_at`]).
+/// plans and segments. Grouping at `line_bytes.min(32)` is sound
+/// because code bases are 32-byte aligned (see
+/// [`SeqPlan::compile_at`]).
 ///
 /// # Panics
 /// If the function uses ≥ `u16::MAX` virtual registers (far beyond
 /// anything the JIT emits).
-pub fn compile(config: &MachineConfig, code: &NativeCode, nargs: usize) -> XCode {
+pub fn compile(config: &MachineConfig, code: &NativeCode) -> XCode {
     assert!(
         code.func.nregs < u32::from(NONE),
         "register file too large to pre-decode"
     );
     let line_bytes = config.icache.map_or(32, |c| c.line_bytes).min(32);
-    let states = infer(&code.func, nargs);
     let mut scratch: Vec<(u64, InstrClass, SeqDataRef)> = Vec::new();
     let mut args_pool: Vec<u16> = Vec::new();
-    let blocks = code
+    let mut blocks: Vec<XBlock> = code
         .func
         .blocks
         .iter()
         .enumerate()
         .map(|(b, block)| {
-            let seqs = &code.micros[b];
             let offs = &code.offsets[b];
-            let ninsts = block.insts.len();
-
-            // Decoded ops and per-instruction plans (the
-            // reference-shaped path).
-            let mut ops = Vec::with_capacity(ninsts);
-            let mut insts = Vec::with_capacity(ninsts);
+            let n = block.insts.len();
+            let mut ops = Vec::with_capacity(n);
+            let mut plans = Vec::with_capacity(n);
             for (ii, inst) in block.insts.iter().enumerate() {
                 ops.push(decode_op(inst, offs[ii], &mut args_pool));
                 scratch.clear();
-                inst_micros(&seqs[ii], offs[ii], &mut scratch);
-                insts.push(SeqPlan::compile_at(&config.table, line_bytes, &scratch));
+                inst_micros(&code.micros[b][ii], offs[ii], &mut scratch);
+                plans.push(SeqPlan::compile_at(&config.table, line_bytes, &scratch));
             }
-
-            // Partition into batched runs.
-            let mut tys = states[b].clone();
-            let mut runs = Vec::new();
-            let mut run_at = vec![NO_RUN; ninsts];
-            let mut start = 0usize;
-            let mut steps = 0u64;
-            scratch.clear();
-            let close = |scratch: &mut Vec<(u64, InstrClass, SeqDataRef)>,
-                         runs: &mut Vec<SeqRun>,
-                         run_at: &mut [u32],
-                         start: usize,
-                         end: usize,
-                         steps: u64| {
-                if end - start >= 2 {
-                    run_at[start] = runs.len() as u32;
-                    runs.push(SeqRun {
-                        len: (end - start) as u32,
-                        steps,
-                        plan: SeqPlan::compile_at(&config.table, line_bytes, scratch),
-                    });
-                }
-                scratch.clear();
-            };
-            for (ii, inst) in block.insts.iter().enumerate() {
-                let excluded = matches!(
-                    inst,
-                    NInst::NewArr { .. }
-                        | NInst::NewObj { .. }
-                        | NInst::CallOp { .. }
-                        | NInst::CallVirtOp { .. }
-                ) || seqs[ii].iter().any(|m| m.mem == MicroMem::Heap);
-                if excluded {
-                    close(&mut scratch, &mut runs, &mut run_at, start, ii, steps);
-                    apply(inst, &mut tys);
-                    start = ii + 1;
-                    steps = 0;
-                    continue;
-                }
-                let ok = infallible(inst, &tys);
-                inst_micros(&seqs[ii], offs[ii], &mut scratch);
-                steps += (seqs[ii].len() as u64).max(1);
-                apply(inst, &mut tys);
-                if !ok {
-                    // A fallible instruction may end a run but not sit
-                    // inside one.
-                    close(&mut scratch, &mut runs, &mut run_at, start, ii + 1, steps);
-                    start = ii + 1;
-                    steps = 0;
-                }
-            }
-            close(&mut scratch, &mut runs, &mut run_at, start, ninsts, steps);
-
             XBlock {
                 ops,
-                plans: insts,
-                runs,
-                run_at,
+                plans,
+                seg_at: vec![NO_SEG; n],
             }
         })
         .collect();
 
+    let mut segs = Vec::new();
+    for b in 0..blocks.len() {
+        for ii in 0..blocks[b].ops.len() {
+            if ii > 0 && !touches_machine(&blocks[b].ops[ii - 1]) {
+                continue;
+            }
+            if let Some(seg) = segment(config, line_bytes, code, &blocks, b, ii, &mut scratch) {
+                blocks[b].seg_at[ii] = segs.len() as u32;
+                segs.push(seg);
+            }
+        }
+    }
+
     XCode {
         blocks,
+        segs,
         nregs: code.func.nregs,
         args_pool,
     }

@@ -81,7 +81,7 @@ pub enum MethodCode {
         ics: Rc<Vec<Cell<u64>>>,
         /// The pre-decoded executable plan: flat [`crate::runplan::XOp`]
         /// stream plus batched charge plans (per-instruction plans and
-        /// merged multi-instruction runs), compiled for this machine's
+        /// merged segment plans), compiled for this machine's
         /// energy table and I-cache geometry at install time. A
         /// derived artifact — never serialized.
         plans: Rc<XCode>,
@@ -117,6 +117,10 @@ pub struct Vm<'p> {
     /// operand stacks), recycled across invocations so the hot
     /// engines stay allocation-free on the call path.
     scratch: Vec<Vec<Value>>,
+    /// Heap addresses the native executor records for one charge
+    /// replay, one per heap micro. Reused across replays; no call
+    /// happens while it is in use, so one buffer suffices.
+    pub(crate) heap_addrs: Vec<Option<u64>>,
 }
 
 impl<'p> Vm<'p> {
@@ -135,6 +139,7 @@ impl<'p> Vm<'p> {
             runs: vec![None; program.methods.len()],
             cost_cache: None,
             scratch: Vec::new(),
+            heap_addrs: Vec::new(),
         }
     }
 
@@ -183,8 +188,7 @@ impl<'p> Vm<'p> {
         self.next_code_addr = (self.next_code_addr + 31) & !31;
         let nslots = (code.code_bytes as u64 / NATIVE_INSTR_BYTES) as usize + 1;
         let ics = Rc::new(vec![Cell::new(u64::MAX); nslots]);
-        let nargs = self.program.method(m).invoke_arity();
-        let plans = Rc::new(crate::runplan::compile(self.machine.config(), &code, nargs));
+        let plans = Rc::new(crate::runplan::compile(self.machine.config(), &code));
         self.code[m.0 as usize] = MethodCode::Native {
             code,
             base,

@@ -1652,10 +1652,17 @@ mod tests {
         out
     }
 
+    /// A scratch directory of its own for test `name` in this process,
+    /// so concurrent tests and test processes never share a file.
+    fn test_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("jts-{name}-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn round_trip_is_bit_exact() {
-        let dir = std::env::temp_dir().join("jts-roundtrip-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("roundtrip");
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(40);
@@ -1702,13 +1709,12 @@ mod tests {
             }
         }
         validate_jts(&bytes).unwrap();
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rate_integral_telescopes_to_final_ledger() {
-        let dir = std::env::temp_dir().join("jts-integral-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("integral");
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(25);
@@ -1729,13 +1735,12 @@ mod tests {
                 c.name()
             );
         }
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn seq_restart_opens_new_segment() {
-        let dir = std::env::temp_dir().join("jts-segment-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("segment");
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(6);
@@ -1754,13 +1759,12 @@ mod tests {
             );
         }
         validate_jts(&bytes).unwrap();
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn ckpt_resume_is_byte_identical() {
-        let dir = std::env::temp_dir().join("jts-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("ckpt");
         let golden_path = dir.join("golden.jts");
         let golden_path = golden_path.to_str().unwrap();
         let resumed_path = dir.join("resumed.jts");
@@ -1806,14 +1810,12 @@ mod tests {
                 "resume at event {cut} diverged"
             );
         }
-        std::fs::remove_file(golden_path).ok();
-        std::fs::remove_file(resumed_path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn windowed_prefix_matches_sequential_trace_sum() {
-        let dir = std::env::temp_dir().join("jts-window-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("window");
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(30);
@@ -1838,13 +1840,12 @@ mod tests {
                 "window [0, {t}]"
             );
         }
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn validation_rejects_corruption() {
-        let dir = std::env::temp_dir().join("jts-corrupt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("corrupt");
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(10);
@@ -1865,13 +1866,12 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
         assert!(validate_jts(&bad).is_err(), "corruption at byte {mid}");
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn label_series_round_trip() {
-        let dir = std::env::temp_dir().join("jts-label-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("label");
         let path = dir.join("t.jts");
         let path = path.to_str().unwrap();
         let events = synthetic_events(5);
@@ -1887,6 +1887,6 @@ mod tests {
         let idx = tl.series_index("breaker.state").unwrap();
         let id = seg.cols[idx].last().copied().unwrap() as usize;
         assert_eq!(tl.labels[id], "closed");
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
