@@ -8,8 +8,22 @@
 //!
 //! The simulator is deliberately simple — tag array only, no data —
 //! because only hit/miss outcomes matter for energy and time.
+//!
+//! # Residency epochs
+//!
+//! Every [`CacheSim`] carries an [`epoch`](CacheSim::epoch): a
+//! process-unique value that it replaces whenever any tag can change —
+//! on a miss, [`flush`](CacheSim::flush),
+//! [`import_state`](CacheSim::import_state) and construction. A clone
+//! keeps its epoch, because its tags are identical. Two caches (or one
+//! cache at two times) with equal epochs therefore hold identical tag
+//! arrays. Hits never modify a direct-mapped cache, so a fetch
+//! sequence that once ran at epoch `e` without a miss hits on every
+//! fetch whenever it runs again at epoch `e`. Batched charge replays
+//! memoize that fact (see [`crate::ChargeSeq`], [`crate::SeqPlan`]).
 
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,7 +85,7 @@ impl CacheStats {
 }
 
 /// A direct-mapped, tag-only cache simulator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CacheSim {
     config: CacheConfig,
     /// `u64::MAX` marks an invalid (never filled) line.
@@ -81,9 +95,43 @@ pub struct CacheSim {
     index_mask: u64,
     /// `log2(lines)`: shift from a line address to its tag.
     tag_shift: u32,
+    /// Residency epoch (see the module docs); never 0.
+    epoch: u64,
+    /// Next unused value of this cache's epoch block.
+    next_epoch: u64,
+    /// End of this cache's epoch block (exclusive).
+    epoch_end: u64,
 }
 
 const INVALID: u64 = u64::MAX;
+
+/// Epochs are handed out in blocks of this many, so a miss renews the
+/// epoch with a local increment; only exhausting a block touches the
+/// process-wide counter, which sweep workers would otherwise contend on.
+const EPOCH_BLOCK: u64 = 1 << 20;
+
+/// Index of the next unused epoch block. Block 0 is never handed out,
+/// so epoch 0 can mean "no epoch" in memos.
+static NEXT_EPOCH_BLOCK: AtomicU64 = AtomicU64::new(1);
+
+impl Clone for CacheSim {
+    /// The clone keeps the epoch (its tags are identical) but draws a
+    /// fresh block on its first renewal, so the two never hand out the
+    /// same epoch for diverging tags.
+    fn clone(&self) -> Self {
+        CacheSim {
+            config: self.config,
+            tags: self.tags.clone(),
+            stats: self.stats,
+            line_shift: self.line_shift,
+            index_mask: self.index_mask,
+            tag_shift: self.tag_shift,
+            epoch: self.epoch,
+            next_epoch: 0,
+            epoch_end: 0,
+        }
+    }
+}
 
 impl CacheSim {
     /// Build an empty (all-invalid) cache.
@@ -105,14 +153,39 @@ impl CacheSim {
             "line larger than cache"
         );
         let lines = config.num_lines();
-        CacheSim {
+        let mut c = CacheSim {
             config,
             tags: vec![INVALID; lines as usize].into_boxed_slice(),
             stats: CacheStats::default(),
             line_shift: config.line_bytes.trailing_zeros(),
             index_mask: (lines - 1) as u64,
             tag_shift: lines.trailing_zeros(),
+            epoch: 0,
+            next_epoch: 0,
+            epoch_end: 0,
+        };
+        c.renew_epoch();
+        c
+    }
+
+    /// The residency epoch: equal epochs imply identical tag arrays
+    /// (see the module docs).
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Move to a fresh, process-unique epoch. Called whenever any tag
+    /// may change.
+    #[inline]
+    fn renew_epoch(&mut self) {
+        if self.next_epoch == self.epoch_end {
+            let block = NEXT_EPOCH_BLOCK.fetch_add(1, Ordering::Relaxed);
+            self.next_epoch = block * EPOCH_BLOCK;
+            self.epoch_end = self.next_epoch + EPOCH_BLOCK;
         }
+        self.epoch = self.next_epoch;
+        self.next_epoch += 1;
     }
 
     /// The cache geometry.
@@ -135,13 +208,15 @@ impl CacheSim {
         } else {
             self.tags[index] = tag;
             self.stats.misses += 1;
+            self.renew_epoch();
             false
         }
     }
 
-    /// Credit `n` accesses that are statically guaranteed to hit —
-    /// used by batched replay ([`crate::SeqPlan`]) when consecutive
-    /// fetches stay within a just-accessed line. Counters advance
+    /// Credit `n` accesses that are guaranteed to hit — used by batched
+    /// replay ([`crate::SeqPlan`], [`crate::ChargeSeq`]) when
+    /// consecutive fetches stay within a just-accessed line, or when
+    /// the replay's epoch memo proves every fetch resident. Counters advance
     /// exactly as if [`CacheSim::access`] had been called `n` times
     /// with the line resident; tags are untouched (hits never modify
     /// them), so the residency state stays bit-identical too.
@@ -153,6 +228,7 @@ impl CacheSim {
     /// Invalidate every line (e.g. after a simulated context switch).
     pub fn flush(&mut self) {
         self.tags.fill(INVALID);
+        self.renew_epoch();
     }
 
     /// Hit/miss counters so far.
@@ -188,6 +264,7 @@ impl CacheSim {
         );
         self.tags.copy_from_slice(&state.tags);
         self.stats = state.stats;
+        self.renew_epoch();
     }
 }
 
@@ -292,6 +369,33 @@ mod tests {
         assert!(c.access(64));
         c.flush();
         assert!(!c.access(64));
+    }
+
+    #[test]
+    fn epoch_changes_exactly_when_tags_may_change() {
+        let mut c = CacheSim::new(CacheConfig::client_dcache());
+        let e0 = c.epoch();
+        assert_ne!(e0, 0);
+        assert!(!c.access(0));
+        let e1 = c.epoch();
+        assert_ne!(e1, e0);
+        assert!(c.access(4));
+        c.credit_hits(3);
+        c.reset_stats();
+        assert_eq!(c.epoch(), e1, "hits and counters keep the epoch");
+        c.flush();
+        let e2 = c.epoch();
+        assert!(e2 != e1 && e2 != e0);
+        let snap = c.export_state();
+        c.import_state(&snap);
+        assert!(![e0, e1, e2].contains(&c.epoch()));
+        let d = c.clone();
+        assert_eq!(d.epoch(), c.epoch(), "a clone keeps the epoch");
+        // Diverging after the clone never reuses an epoch.
+        let (mut a, mut b) = (c, d);
+        assert!(!a.access(0));
+        assert!(!b.access(1 << 20));
+        assert_ne!(a.epoch(), b.epoch());
     }
 
     #[test]

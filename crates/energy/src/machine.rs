@@ -26,6 +26,7 @@ use crate::itable::{EnergyTable, InstrClass, InstrMix};
 use crate::meter::{Component, EnergyBreakdown};
 use crate::units::{Energy, Power, SimTime};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// Data-memory behaviour of one instruction event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,7 +243,8 @@ impl Machine {
     ///
     /// Bit-exact with calling [`Machine::step_planned`] once per
     /// folded plan, in order: the I-cache sees the same fetches in the
-    /// same order; the Core accumulator receives the identical `f64`
+    /// same order (or, when the seq's epoch memo matches the cache,
+    /// has them credited as the hits they provably are); the Core accumulator receives the identical `f64`
     /// additions in the identical order (each folded plan's products,
     /// concatenated); the Dram accumulator adds the same
     /// `table.main_memory` constant once per miss, and moving those
@@ -255,12 +257,21 @@ impl Machine {
         debug_assert_eq!(self.state, PowerState::Active, "step while powered down");
         let mut cycles = seq.cycles;
         if let Some(icache) = &mut self.icache {
-            for &pc in seq.fetch_pcs.iter() {
-                if !icache.access(pc) {
-                    cycles += self.config.miss_penalty_cycles as u64;
-                    self.breakdown
-                        .charge(Component::Dram, self.config.table.main_memory);
-                    self.mix.mem_accesses += 1;
+            if seq.hit_epoch.get() == icache.epoch() {
+                icache.credit_hits(seq.fetch_pcs.len() as u64);
+            } else {
+                let mut missed = false;
+                for &pc in seq.fetch_pcs.iter() {
+                    if !icache.access(pc) {
+                        missed = true;
+                        cycles += self.config.miss_penalty_cycles as u64;
+                        self.breakdown
+                            .charge(Component::Dram, self.config.table.main_memory);
+                        self.mix.mem_accesses += 1;
+                    }
+                }
+                if !missed {
+                    seq.hit_epoch.set(icache.epoch());
                 }
             }
         }
@@ -286,7 +297,11 @@ impl Machine {
     ///   follow-on fetches are guaranteed hits (a direct-mapped line
     ///   just accessed cannot be evicted by fetches to other lines of
     ///   the same sequence, and hits never modify tags), so they are
-    ///   credited in bulk via [`CacheSim::credit_hits`].
+    ///   credited in bulk via [`CacheSim::credit_hits`]. When the
+    ///   plan's memo holds the cache's current epoch and this
+    ///   `code_base`, an earlier replay of the same fetches from the
+    ///   same tag array saw no miss, so every fetch is credited as a
+    ///   hit without a lookup (see [`crate::cache`]).
     /// * **D-cache** — data-bearing micros are replayed individually,
     ///   in issue order, at their true addresses (`frame_base +
     ///   offset` for spills; for the *k*-th heap micro,
@@ -335,14 +350,23 @@ impl Machine {
                 0,
                 "plan line grouping incompatible with I-cache line size"
             );
-            for &(off, extra) in plan.lines.iter() {
-                if !icache.access(code_base + off) {
-                    cycles += penalty;
-                    self.breakdown
-                        .charge(Component::Dram, self.config.table.main_memory);
-                    self.mix.mem_accesses += 1;
+            if plan.hit_memo.get() == (icache.epoch(), code_base) {
+                icache.credit_hits(plan.n);
+            } else {
+                let mut missed = false;
+                for &(off, extra) in plan.lines.iter() {
+                    if !icache.access(code_base + off) {
+                        missed = true;
+                        cycles += penalty;
+                        self.breakdown
+                            .charge(Component::Dram, self.config.table.main_memory);
+                        self.mix.mem_accesses += 1;
+                    }
+                    icache.credit_hits(u64::from(extra));
                 }
-                icache.credit_hits(u64::from(extra));
+                if !missed {
+                    plan.hit_memo.set((icache.epoch(), code_base));
+                }
             }
         }
         if let Some(dcache) = &mut self.dcache {
@@ -680,6 +704,9 @@ pub struct ChargeSeq {
     classes: Box<[(InstrClass, u64)]>,
     /// Folded base cycles (miss penalties are added dynamically).
     cycles: u64,
+    /// I-cache epoch at which one full replay saw no miss (0 = none):
+    /// while the cache still has it, every fetch is a hit.
+    hit_epoch: Cell<u64>,
 }
 
 impl ChargeSeq {
@@ -709,6 +736,7 @@ impl ChargeSeq {
             core: core.into_boxed_slice(),
             classes: classes.into_boxed_slice(),
             cycles,
+            hit_epoch: Cell::new(0),
         }
     }
 
@@ -775,6 +803,10 @@ pub struct SeqPlan {
     nheap: u32,
     /// I-cache line size the line grouping assumes.
     line_bytes: u32,
+    /// `(I-cache epoch, code base)` at which one full replay saw no
+    /// miss (epoch 0 = none): while both still match, every fetch is a
+    /// hit.
+    hit_memo: Cell<(u64, u64)>,
 }
 
 impl SeqPlan {
@@ -867,6 +899,7 @@ impl SeqPlan {
             n: micros.len() as u64,
             nheap,
             line_bytes,
+            hit_memo: Cell::new((0, 0)),
         }
     }
 
