@@ -47,7 +47,11 @@ use std::fmt;
 
 /// Leading magic of a `.jck` checkpoint file.
 pub const JCK_MAGIC: &[u8; 4] = b"JCK1";
-const JCK_VERSION: u64 = 1;
+/// Version 2: a machine's energy ledger holds only its `f64`-charged
+/// components (active-idle Core, leakage, radio); instruction Core and
+/// DRAM energy are derived from its counts. A version-1 snapshot
+/// stored the whole ledger and would double-count them on resume.
+const JCK_VERSION: u64 = 2;
 
 /// A typed checkpoint decode/restore error — corruption and mismatch
 /// are reported, never panicked on.
@@ -416,7 +420,7 @@ fn dec_cache(d: &mut Dec<'_>) -> Result<Option<CacheState>, CkptError> {
 fn enc_machine(e: &mut Enc, m: &MachineState) {
     e.u64(m.cycles);
     e.time(m.extra_time);
-    e.breakdown(&m.breakdown);
+    e.breakdown(&m.ledger);
     for c in m.mix.class_counts() {
         e.u64(c);
     }
@@ -432,7 +436,7 @@ fn enc_machine(e: &mut Enc, m: &MachineState) {
 fn dec_machine(d: &mut Dec<'_>) -> Result<MachineState, CkptError> {
     let cycles = d.u64()?;
     let extra_time = d.time()?;
-    let breakdown = d.breakdown()?;
+    let ledger = d.breakdown()?;
     let mut counts = [0u64; 6];
     for c in &mut counts {
         *c = d.u64()?;
@@ -446,7 +450,7 @@ fn dec_machine(d: &mut Dec<'_>) -> Result<MachineState, CkptError> {
     Ok(MachineState {
         cycles,
         extra_time,
-        breakdown,
+        ledger,
         mix: InstrMix::from_parts(counts, mem_accesses),
         state,
         icache: dec_cache(d)?,

@@ -180,6 +180,34 @@ fn bit_flips_never_panic_and_checksums_catch_them() {
     }
 }
 
+/// FNV-1a-64, the `.jck` trailer checksum.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+#[test]
+fn version_1_checkpoints_are_refused() {
+    // A version-1 snapshot stored each machine's whole energy ledger;
+    // read as version 2 it would add the instruction Core and DRAM
+    // energy derived from the counts a second time. It must be refused
+    // with a typed error, not resumed.
+    let (_, _, file) = corpus();
+    assert!(CkptFile::decode(&file).is_ok());
+    // Magic, then the version varint.
+    assert_eq!(file[4], 2, "current .jck version");
+    let mut v1 = file[..file.len() - 8].to_vec();
+    v1[4] = 1;
+    let sum = fnv64(&v1);
+    v1.extend_from_slice(&sum.to_le_bytes());
+    let err = CkptFile::decode(&v1).expect_err("a v1 checkpoint decoded");
+    assert!(
+        err.to_string().contains("unsupported checkpoint version 1"),
+        "{err}"
+    );
+}
+
 #[test]
 fn garbage_inputs_give_typed_errors() {
     let mut rng = SmallRng::seed_from_u64(42);

@@ -120,15 +120,10 @@ impl Clone for CacheSim {
     /// same epoch for diverging tags.
     fn clone(&self) -> Self {
         CacheSim {
-            config: self.config,
             tags: self.tags.clone(),
-            stats: self.stats,
-            line_shift: self.line_shift,
-            index_mask: self.index_mask,
-            tag_shift: self.tag_shift,
-            epoch: self.epoch,
             next_epoch: 0,
             epoch_end: 0,
+            ..*self
         }
     }
 }

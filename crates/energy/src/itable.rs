@@ -105,15 +105,20 @@ impl EnergyTable {
         self.per_class[class.index()]
     }
 
-    /// Energy of an entire instruction mix (no cache effects; memory
-    /// accesses priced at the DRAM cost times `mem_accesses`).
-    pub fn energy_of_mix(&self, mix: &InstrMix) -> Energy {
+    /// Core energy of a mix's instructions: `Σ energy(class) × count`
+    /// in [`InstrClass::ALL`] order (memory accesses excluded).
+    pub fn instr_energy(&self, mix: &InstrMix) -> Energy {
         let mut total = Energy::ZERO;
         for class in InstrClass::ALL {
             total += self.energy(class) * mix.count(class) as f64;
         }
-        total += self.main_memory * mix.mem_accesses as f64;
         total
+    }
+
+    /// Energy of an entire instruction mix (no cache effects; memory
+    /// accesses priced at the DRAM cost times `mem_accesses`).
+    pub fn energy_of_mix(&self, mix: &InstrMix) -> Energy {
+        self.instr_energy(mix) + self.main_memory * mix.mem_accesses as f64
     }
 }
 

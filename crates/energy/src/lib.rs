@@ -35,8 +35,7 @@ pub mod units;
 pub use cache::{CacheConfig, CacheSim, CacheState, CacheStats};
 pub use itable::{EnergyTable, InstrClass, InstrMix};
 pub use machine::{
-    ChargePlan, ChargeSeq, Machine, MachineConfig, MachineState, MemOp, PowerState, SeqDataRef,
-    SeqPlan,
+    ChargeSeq, Machine, MachineConfig, MachineState, MemOp, PowerState, SeqDataRef, SeqPlan,
 };
 pub use meter::{Component, EnergyBreakdown};
 pub use units::{Energy, Power, SimTime};

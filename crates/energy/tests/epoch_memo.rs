@@ -6,13 +6,16 @@
 //! drives random replays, each repeated, interleaved with conflicting
 //! fetches, `reset`, `import_state` and mid-stream clones that keep
 //! running on the same plans, and compares every machine against a
-//! twin that steps each fetch one by one.
+//! twin that steps each fetch one by one (`step` + `charge_mix` for
+//! interpreter dispatches, one `step` per native micro).
 
 use jem_energy::{
-    CacheConfig, ChargePlan, ChargeSeq, Component, EnergyTable, InstrClass, InstrMix, Machine,
-    MachineConfig, MachineState, MemOp, SeqDataRef, SeqPlan,
+    CacheConfig, ChargeSeq, Component, InstrClass, InstrMix, Machine, MachineConfig, MachineState,
+    MemOp, SeqDataRef, SeqPlan,
 };
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// A 1 KB I-cache (32 lines) and 512 B D-cache, so the small address
 /// ranges below conflict often.
@@ -30,30 +33,14 @@ fn config() -> MachineConfig {
     }
 }
 
-/// Deterministic generator for the op script (splitmix64).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn class(&mut self) -> InstrClass {
-        InstrClass::ALL[self.below(6) as usize]
-    }
+fn class(g: &mut SmallRng) -> InstrClass {
+    InstrClass::ALL[g.gen_range(0..6)]
 }
 
-/// A merged interpreter charge replay plus the plans it folds.
+/// A merged interpreter charge replay and the `(pc, lead, mix)`
+/// dispatches it stands for (one of them: a plain handler's seq).
 struct SeqCase {
-    plans: Vec<ChargePlan>,
+    parts: Vec<(u64, InstrClass, InstrMix)>,
     seq: ChargeSeq,
 }
 
@@ -63,45 +50,50 @@ struct PlanCase {
     plan: SeqPlan,
 }
 
-fn seq_case(g: &mut Gen, table: &EnergyTable) -> SeqCase {
-    let n = 1 + g.below(4) as usize;
-    let plans: Vec<ChargePlan> = (0..n)
+fn seq_case(g: &mut SmallRng) -> SeqCase {
+    let parts: Vec<(u64, InstrClass, InstrMix)> = (0..1 + g.gen_range(0..4u64))
         .map(|_| {
             // Handler addresses within 4 KB: four times the I-cache.
-            let pc = g.below(4096) & !3;
-            let mix = InstrMix::new().with(g.class(), 1 + g.below(3));
-            ChargePlan::compile(table, pc, g.class(), &[mix])
+            let pc = g.gen_range(0..4096) & !3;
+            let mix = InstrMix::new()
+                .with(class(g), 1 + g.gen_range(0..3))
+                .with(class(g), g.gen_range(0..2));
+            (pc, class(g), mix)
         })
         .collect();
+    let plans: Vec<ChargeSeq> = parts
+        .iter()
+        .map(|&(pc, lead, mix)| ChargeSeq::compile(pc, lead, &[mix]))
+        .collect();
     let seq = ChargeSeq::merge(&plans.iter().collect::<Vec<_>>());
-    SeqCase { plans, seq }
+    SeqCase { parts, seq }
 }
 
-fn plan_case(g: &mut Gen, table: &EnergyTable) -> PlanCase {
-    let n = g.below(24);
-    let mut off = g.below(2048) & !3;
+fn plan_case(g: &mut SmallRng) -> PlanCase {
+    let n: u64 = g.gen_range(0..24);
+    let mut off = g.gen_range(0..2048) & !3;
     let micros: Vec<(u64, InstrClass, SeqDataRef)> = (0..n)
         .map(|_| {
             // Mostly sequential, sometimes a jump (a followed `Jmp`).
-            off = if g.below(6) == 0 {
-                g.below(2048) & !3
+            off = if g.gen_range(0..6) == 0 {
+                g.gen_range(0..2048) & !3
             } else {
                 off + 4
             };
-            let mem = match g.below(4) {
+            let mem = match g.gen_range(0..4) {
                 0 => SeqDataRef::Frame {
-                    store: g.below(2) == 0,
-                    offset: g.below(64) * 8,
+                    store: g.gen_range(0..2) == 0,
+                    offset: g.gen_range(0..64) * 8,
                 },
                 1 => SeqDataRef::Heap {
-                    store: g.below(2) == 0,
+                    store: g.gen_range(0..2) == 0,
                 },
                 _ => SeqDataRef::None,
             };
-            (off, g.class(), mem)
+            (off, class(g), mem)
         })
         .collect();
-    let plan = SeqPlan::compile_at(table, 32, &micros);
+    let plan = SeqPlan::compile_at(32, &micros);
     PlanCase { micros, plan }
 }
 
@@ -115,8 +107,9 @@ struct Pair {
 
 fn replay_seq(p: &mut Pair, c: &SeqCase) {
     p.fast.step_charge_seq(&c.seq);
-    for plan in &c.plans {
-        p.slow.step_planned(plan);
+    for &(pc, lead, mix) in &c.parts {
+        p.slow.step(pc, lead, MemOp::None);
+        p.slow.charge_mix(&mix);
     }
 }
 
@@ -141,20 +134,17 @@ fn replay_plan(p: &mut Pair, c: &PlanCase, code_base: u64, heap: &[Option<u64>])
     }
 }
 
+/// Counters, cache tags and stats, power state and ledger; then the
+/// full breakdown bit for bit.
 fn assert_same(p: &Pair, what: &str) -> Result<(), TestCaseError> {
     let (f, s) = (&p.fast, &p.slow);
-    prop_assert_eq!(f.cycles(), s.cycles(), "cycles after {}", what);
-    prop_assert_eq!(f.mix(), s.mix(), "mix after {}", what);
-    prop_assert_eq!(f.icache_stats(), s.icache_stats(), "icache after {}", what);
-    prop_assert_eq!(f.dcache_stats(), s.dcache_stats(), "dcache after {}", what);
-    let (fs, ss) = (f.export_state(), s.export_state());
-    prop_assert_eq!(&fs.icache, &ss.icache, "icache tags after {}", what);
-    prop_assert_eq!(&fs.dcache, &ss.dcache, "dcache tags after {}", what);
+    prop_assert_eq!(f.export_state(), s.export_state(), "state after {}", what);
     for c in Component::ALL {
+        let (x, y) = (f.breakdown()[c], s.breakdown()[c]);
         prop_assert_eq!(
-            f.breakdown()[c].nanojoules().to_bits(),
-            s.breakdown()[c].nanojoules().to_bits(),
-            "{} ledger bits after {}",
+            x.nanojoules().to_bits(),
+            y.nanojoules().to_bits(),
+            "{} after {}",
             c.name(),
             what
         );
@@ -163,10 +153,9 @@ fn assert_same(p: &Pair, what: &str) -> Result<(), TestCaseError> {
 }
 
 fn run_script(seed: u64, steps: usize) -> Result<(), TestCaseError> {
-    let mut g = Gen(seed);
-    let table = config().table;
-    let seqs: Vec<SeqCase> = (0..4).map(|_| seq_case(&mut g, &table)).collect();
-    let plans: Vec<PlanCase> = (0..4).map(|_| plan_case(&mut g, &table)).collect();
+    let mut g = SmallRng::seed_from_u64(seed);
+    let seqs: Vec<SeqCase> = (0..4).map(|_| seq_case(&mut g)).collect();
+    let plans: Vec<PlanCase> = (0..4).map(|_| plan_case(&mut g)).collect();
     // Line-aligned code bases; 0x400 apart, i.e. aliasing in the 1 KB
     // I-cache, and one far away.
     let bases = [0x3000_0000u64, 0x3000_0400, 0x3000_0040, 0x3100_0000];
@@ -176,31 +165,31 @@ fn run_script(seed: u64, steps: usize) -> Result<(), TestCaseError> {
         saved: None,
     }];
     for step in 0..steps {
-        let k = g.below(pairs.len() as u64) as usize;
+        let k = g.gen_range(0..pairs.len());
         let what = format!("step {step} (seed {seed})");
-        match g.below(16) {
+        match g.gen_range(0..16) {
             0..=4 => {
-                let c = &seqs[g.below(seqs.len() as u64) as usize];
-                for _ in 0..1 + g.below(4) {
+                let c = &seqs[g.gen_range(0..seqs.len())];
+                for _ in 0..1 + g.gen_range(0..4) {
                     replay_seq(&mut pairs[k], c);
                 }
             }
             5..=9 => {
-                let c = &plans[g.below(plans.len() as u64) as usize];
-                let base = bases[g.below(bases.len() as u64) as usize];
-                for _ in 0..1 + g.below(4) {
+                let c = &plans[g.gen_range(0..plans.len())];
+                let base = bases[g.gen_range(0..bases.len())];
+                for _ in 0..1 + g.gen_range(0..4) {
                     let heap: Vec<Option<u64>> = (0..c.plan.heap_micros())
-                        .map(|_| (g.below(5) != 0).then(|| 0x9000 + g.below(2048)))
+                        .map(|_| (g.gen_range(0..5) != 0).then(|| 0x9000 + g.gen_range(0..2048)))
                         .collect();
                     replay_plan(&mut pairs[k], c, base, &heap);
                 }
             }
             10..=11 => {
                 // A conflicting fetch (and data access) stepped directly.
-                let pc = bases[g.below(bases.len() as u64) as usize] + (g.below(2048) & !3);
+                let pc = bases[g.gen_range(0..bases.len())] + (g.gen_range(0..2048) & !3);
                 let p = &mut pairs[k];
-                let class = g.class();
-                let mem = MemOp::Read(0x9000 + g.below(2048));
+                let class = class(&mut g);
+                let mem = MemOp::Read(0x9000 + g.gen_range(0..2048));
                 p.fast.step(pc, class, mem);
                 p.slow.step(pc, class, mem);
             }

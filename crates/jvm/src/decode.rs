@@ -8,10 +8,10 @@
 //! translation** of a method's `Vec<Op>` into a flattened
 //! [`DecodedMethod`] stream whose entries carry
 //!
-//! * a precompiled [`ChargePlan`] index — the handler I-cache address
-//!   and the exact ordered core-energy additions of
-//!   `step + dispatch_mix + op_work_mix`, built once per machine
-//!   energy table by [`CostCache`];
+//! * a precompiled [`ChargeSeq`] index — the handler I-cache address
+//!   and the folded instruction counts of
+//!   `step + dispatch_mix + op_work_mix`, built once per VM by
+//!   [`CostCache`];
 //! * pre-resolved operands (validated local slots, callee arity for
 //!   static calls);
 //! * **fused superinstructions** for the hot op sequences the energy
@@ -23,12 +23,13 @@
 //!
 //! The fast path is *observationally identical* to the reference
 //! interpreter: the simulated machine receives the same I-cache
-//! accesses at the same addresses, the same per-component energy
-//! additions in the same order (f64 addition is not associative, so
-//! plans store individual products — see
-//! [`Machine::step_planned`](jem_energy::Machine::step_planned)), the
-//! same step-budget increments at the same points, and errors surface
-//! at the same execution points with the same machine state. Fused
+//! accesses at the same addresses (a merged replay whose epoch memo
+//! proves every fetch resident credits them as hits, see
+//! [`jem_energy::cache`]), the same instruction and miss counts — the
+//! machine derives instruction and DRAM energy from those counts, so
+//! folding them is exact — the same step-budget increments at the
+//! same points, and errors surface at the same execution points with
+//! the same machine state. Fused
 //! superinstructions replay each component's charge plan and budget
 //! bump *before* executing the combined semantics; this is safe
 //! because every non-final component (loads, constants) is
@@ -51,7 +52,7 @@ use crate::costs;
 use crate::value::{Type, Value};
 use crate::vm::Vm;
 use crate::VmError;
-use jem_energy::{ChargePlan, ChargeSeq, EnergyTable, InstrClass, MemOp};
+use jem_energy::{ChargeSeq, InstrClass, MemOp};
 use std::cell::Cell;
 
 /// Number of distinct interpreter handlers (dense opcode indices).
@@ -97,16 +98,16 @@ const fn aux_pc(plan_idx: usize) -> u64 {
     costs::INTERP_CODE_BASE + plan_idx as u64 * costs::HANDLER_STRIDE + 4
 }
 
-/// One precompiled charge plan per interpreter handler, built from a
-/// machine's energy table, plus merged [`ChargeSeq`]s — the cached
-/// cost mixes — for every fused superinstruction shape. Plans fold the
-/// handler fetch, the dispatch mix and the per-op work mix of
-/// [`crate::costs`] — the three charges the reference interpreter
-/// recomputes on every executed bytecode; a merged seq folds the whole
-/// fused sequence's dispatches into one replay.
+/// One precompiled [`ChargeSeq`] per interpreter handler plus merged
+/// seqs — the cached cost mixes — for every fused superinstruction
+/// shape. A handler's seq folds the handler fetch, the dispatch mix and
+/// the per-op work mix of [`crate::costs`] — the three charges the
+/// reference interpreter recomputes on every executed bytecode; a
+/// merged seq folds the whole fused sequence's dispatches into one
+/// replay.
 #[derive(Debug)]
 pub struct CostCache {
-    plans: [ChargePlan; NUM_HANDLERS],
+    plans: [ChargeSeq; NUM_HANDLERS],
     /// `Load; Load; IArith op` merged, indexed by `IBin`.
     ll_iarith: [ChargeSeq; 10],
     /// `Load; IConst; IArith op` merged, indexed by `IBin`.
@@ -127,15 +128,14 @@ pub struct CostCache {
     ll_aload: ChargeSeq,
 }
 
-impl CostCache {
-    /// Build the per-handler plans for `table`.
-    pub fn new(table: &EnergyTable) -> Self {
+impl Default for CostCache {
+    /// Build the per-handler plans and merged seqs.
+    fn default() -> Self {
         let rep = representative_ops();
-        let plans: [ChargePlan; NUM_HANDLERS] = std::array::from_fn(|i| {
+        let plans: [ChargeSeq; NUM_HANDLERS] = std::array::from_fn(|i| {
             let op = &rep[i];
             debug_assert!(costs::opcode_index(op) as usize == i || matches!(op, Op::FArith(_)));
-            ChargePlan::compile(
-                table,
+            ChargeSeq::compile(
                 costs::INTERP_CODE_BASE + i as u64 * costs::HANDLER_STRIDE,
                 InstrClass::Branch,
                 &[costs::dispatch_mix(), costs::op_work_mix(op)],
@@ -157,10 +157,12 @@ impl CostCache {
             plans,
         }
     }
+}
 
+impl CostCache {
     /// The plan for handler index `idx`.
     #[inline]
-    pub fn plan(&self, idx: usize) -> &ChargePlan {
+    pub fn plan(&self, idx: usize) -> &ChargeSeq {
         &self.plans[idx]
     }
 }
@@ -551,16 +553,15 @@ pub const NO_RUN: u32 = u32::MAX;
 pub struct InterpRun {
     /// Number of decoded ops covered (≥ 2).
     pub nops: u32,
-    /// Charged instruction events (budget bumps) for the whole run —
-    /// one per original bytecode, so fused ops contribute 2–3.
-    pub steps: u64,
-    /// The merged charge replay of every covered handler plan.
+    /// The merged charge replay of every covered handler plan; its
+    /// [`ChargeSeq::steps`] are the run's budget bumps — one per
+    /// original bytecode, so fused ops contribute 2–3.
     pub seq: ChargeSeq,
 }
 
-/// Batched-run metadata of one decoded method, compiled for one
-/// machine energy table. A derived artifact — keyed by [`MethodId`]
-/// in the VM, rebuilt on demand, never serialized.
+/// Batched-run metadata of one decoded method. A derived artifact —
+/// keyed by [`MethodId`] in the VM, rebuilt on demand, never
+/// serialized.
 #[derive(Debug)]
 pub struct MethodRuns {
     /// Index into `runs` of the run starting at each decoded slot
@@ -1048,7 +1049,7 @@ fn dop_plans(dop: &DOp, out: &mut Vec<usize>) {
     }
 }
 
-/// Partition `dm` into batched runs for one machine energy table.
+/// Partition `dm` into batched runs.
 ///
 /// Runs begin at branch targets or after a run-terminating op, span
 /// only statically infallible machine-free interiors, and end at the
@@ -1164,11 +1165,10 @@ pub fn compile_runs(
             }
         }
         if nops >= 2 {
-            let plans: Vec<&ChargePlan> = plan_idxs.iter().map(|&p| cc.plan(p)).collect();
+            let plans: Vec<&ChargeSeq> = plan_idxs.iter().map(|&p| cc.plan(p)).collect();
             run_at[i] = runs.len() as u32;
             runs.push(InterpRun {
                 nops,
-                steps: plan_idxs.len() as u64,
                 seq: ChargeSeq::merge(&plans),
             });
             i = j;
@@ -1245,7 +1245,7 @@ fn run_inner(
     // accounting sequence of the reference interpreter.
     macro_rules! charge {
         ($idx:expr) => {
-            vm.machine.step_planned(cc.plan($idx));
+            vm.machine.step_charge_seq(cc.plan($idx));
             vm.bump_steps(1)?;
         };
     }
@@ -1277,9 +1277,9 @@ fn run_inner(
         // budget error could have fired on the reference path.
         if !tainted && mr.run_at[pc] != NO_RUN {
             let run = &mr.runs[mr.run_at[pc] as usize];
-            if vm.options.step_budget.saturating_sub(vm.steps) >= run.steps {
+            if vm.options.step_budget.saturating_sub(vm.steps) >= run.seq.steps() {
                 vm.machine.step_charge_seq(&run.seq);
-                vm.bump_steps(run.steps)?;
+                vm.bump_steps(run.seq.steps())?;
                 let mut flow = Flow::Next;
                 // Count-based: a final backward branch must not
                 // re-enter this loop (its target's own run, or the

@@ -38,16 +38,17 @@
 //! semantics, provided each stream keeps its own order:
 //!
 //! * the merged plan replays I-cache fetches (each op at its own fetch
-//!   offsets, see [`SeqPlan::compile_at`]), D-cache accesses and Core
-//!   energy additions in op order;
+//!   offsets, see [`SeqPlan::compile_at`]) and D-cache accesses in op
+//!   order;
 //! * each heap micro's address is read from the registers just before
 //!   its op's semantics run — the register state the reference
 //!   charges from — and handed to [`Machine::step_seq`] in issue
 //!   order, one address per heap micro (no segment allocates, so no
 //!   address moves in between);
-//! * the DRAM accumulator only ever receives the same `main_memory`
-//!   constant, so a different interleaving of I- and D-cache misses
-//!   leaves it bit-identical; cycles and the mix are integer sums.
+//! * everything else is an integer count — instructions per class,
+//!   misses, cycles — from which the machine derives Core and DRAM
+//!   energy, so a different interleaving of I- and D-cache misses
+//!   leaves it unchanged.
 //!
 //! # Errors and the step budget
 //!
@@ -405,8 +406,8 @@ pub enum XOp {
 }
 
 /// The executable plan for one installed method: pre-decoded ops plus
-/// charge plans, compiled against one machine's energy table and
-/// I-cache geometry. A derived artifact — cache-reconstructable from
+/// charge plans, compiled against one machine's I-cache geometry. A
+/// derived artifact — cache-reconstructable from
 /// the [`NativeCode`], never serialized.
 #[derive(Debug)]
 pub struct XCode {
@@ -636,7 +637,6 @@ fn touches_machine(op: &XOp) -> bool {
 /// Build the segment starting at instruction `ii` of block `b`, or
 /// `None` when that instruction touches the machine.
 fn segment(
-    config: &MachineConfig,
     line_bytes: u32,
     code: &NativeCode,
     blocks: &[XBlock],
@@ -678,13 +678,13 @@ fn segment(
         heap: heap.into_boxed_slice(),
         src: src.into_boxed_slice(),
         steps,
-        plan: SeqPlan::compile_at(&config.table, line_bytes, scratch),
+        plan: SeqPlan::compile_at(line_bytes, scratch),
         resume: (b as u32, ii as u32),
     })
 }
 
-/// Compile `code` into its executable plan against `config`'s energy
-/// table and I-cache geometry: pre-decoded ops, per-instruction charge
+/// Compile `code` into its executable plan against `config`'s I-cache
+/// geometry: pre-decoded ops, per-instruction charge
 /// plans and segments. Grouping at `line_bytes.min(32)` is sound
 /// because code bases are 32-byte aligned (see
 /// [`SeqPlan::compile_at`]).
@@ -714,7 +714,7 @@ pub fn compile(config: &MachineConfig, code: &NativeCode) -> XCode {
                 ops.push(decode_op(inst, offs[ii], &mut args_pool));
                 scratch.clear();
                 inst_micros(&code.micros[b][ii], offs[ii], &mut scratch);
-                plans.push(SeqPlan::compile_at(&config.table, line_bytes, &scratch));
+                plans.push(SeqPlan::compile_at(line_bytes, &scratch));
             }
             XBlock {
                 ops,
@@ -730,7 +730,7 @@ pub fn compile(config: &MachineConfig, code: &NativeCode) -> XCode {
             if ii > 0 && !touches_machine(&blocks[b].ops[ii - 1]) {
                 continue;
             }
-            if let Some(seg) = segment(config, line_bytes, code, &blocks, b, ii, &mut scratch) {
+            if let Some(seg) = segment(line_bytes, code, &blocks, b, ii, &mut scratch) {
                 blocks[b].seg_at[ii] = segs.len() as u32;
                 segs.push(seg);
             }

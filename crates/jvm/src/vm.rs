@@ -82,8 +82,8 @@ pub enum MethodCode {
         /// The pre-decoded executable plan: flat [`crate::runplan::XOp`]
         /// stream plus batched charge plans (per-instruction plans and
         /// merged segment plans), compiled for this machine's
-        /// energy table and I-cache geometry at install time. A
-        /// derived artifact — never serialized.
+        /// I-cache geometry at install time. A derived artifact —
+        /// never serialized.
         plans: Rc<XCode>,
     },
 }
@@ -107,11 +107,11 @@ pub struct Vm<'p> {
     /// Lazily decoded fast-path form of each bytecode method — a
     /// derived artifact, rebuilt on demand, never serialized.
     decoded: Vec<Option<Rc<DecodedMethod>>>,
-    /// Lazily compiled batched-run metadata per bytecode method (for
-    /// this machine's energy table) — derived, never serialized.
+    /// Lazily compiled batched-run metadata per bytecode method —
+    /// derived, never serialized.
     runs: Vec<Option<Rc<MethodRuns>>>,
-    /// Lazily built per-handler charge plans for this machine's
-    /// energy table.
+    /// Lazily built per-handler charge plans (their epoch memos are
+    /// this machine's).
     cost_cache: Option<Rc<CostCache>>,
     /// Reusable `Value` buffers (argument vectors, register files,
     /// operand stacks), recycled across invocations so the hot
@@ -272,13 +272,12 @@ impl<'p> Vm<'p> {
         r
     }
 
-    /// The per-handler charge plans for this machine's energy table,
-    /// compiled on first use.
+    /// The per-handler charge plans, compiled on first use.
     pub(crate) fn cost_cache(&mut self) -> Rc<CostCache> {
         if let Some(c) = &self.cost_cache {
             return Rc::clone(c);
         }
-        let c = Rc::new(CostCache::new(&self.machine.config().table));
+        let c = Rc::new(CostCache::default());
         self.cost_cache = Some(Rc::clone(&c));
         c
     }
