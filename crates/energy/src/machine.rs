@@ -132,11 +132,11 @@ impl MachineConfig {
 /// Only charges that are not counts — active-idle Core energy,
 /// leakage and radio — accumulate as `f64`s. Charging an instruction
 /// is therefore a handful of integer adds, and batched replays
-/// ([`ChargeSeq`], [`SeqPlan`]) fold any number of
-/// instructions into one count delta: integer addition is
-/// associative, so a batched replay and the per-instruction
-/// [`Machine::step`] calls it stands for leave identical counts, and
-/// hence an identical ledger, bit for bit.
+/// ([`ChargeSeq`], [`SeqPlan`]) fold any number of instructions into
+/// one count delta: integer addition is associative, so a batched
+/// replay and the per-instruction [`Machine::step`] calls it stands
+/// for leave identical counts, and hence an identical ledger, bit for
+/// bit.
 #[derive(Debug, Clone)]
 pub struct Machine {
     config: MachineConfig,
