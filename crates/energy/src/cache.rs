@@ -11,16 +11,20 @@
 //!
 //! # Residency epochs
 //!
-//! Every [`CacheSim`] carries an [`epoch`](CacheSim::epoch): a
-//! process-unique value that it replaces whenever any tag can change —
+//! Every [`CacheSim`] has an [`epoch`](CacheSim::epoch): a
+//! process-unique value that it gives up whenever any tag can change —
 //! on a miss, [`flush`](CacheSim::flush),
-//! [`import_state`](CacheSim::import_state) and construction. A clone
-//! keeps its epoch, because its tags are identical. Two caches (or one
-//! cache at two times) with equal epochs therefore hold identical tag
-//! arrays. Hits never modify a direct-mapped cache, so a fetch
-//! sequence that once ran at epoch `e` without a miss hits on every
-//! fetch whenever it runs again at epoch `e`. Batched charge replays
-//! memoize that fact (see [`crate::ChargeSeq`], [`crate::SeqPlan`]).
+//! [`import_state`](CacheSim::import_state) and construction — and
+//! replaces with a fresh one from a relaxed global counter the next
+//! time the epoch is read. A clone keeps its epoch, because its tags
+//! are identical. Two caches (or one cache at two times) with equal
+//! epochs therefore hold identical tag arrays. Hits never modify a
+//! direct-mapped cache, so a fetch sequence that once ran at epoch `e`
+//! without a miss hits on every fetch whenever it runs again at epoch
+//! `e`. Batched charge replays memoize that fact (see
+//! [`crate::ChargeSeq`], [`crate::SeqPlan`]). Drawing lazily keeps the
+//! counter off the miss path: a cache whose epoch nobody reads (the
+//! D-cache) never draws, and a run of misses draws once.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,7 +89,7 @@ impl CacheStats {
 }
 
 /// A direct-mapped, tag-only cache simulator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CacheSim {
     config: CacheConfig,
     /// `u64::MAX` marks an invalid (never filled) line.
@@ -95,38 +99,14 @@ pub struct CacheSim {
     index_mask: u64,
     /// `log2(lines)`: shift from a line address to its tag.
     tag_shift: u32,
-    /// Residency epoch (see the module docs); never 0.
+    /// Residency epoch (see the module docs); 0 until drawn.
     epoch: u64,
-    /// Next unused value of this cache's epoch block.
-    next_epoch: u64,
-    /// End of this cache's epoch block (exclusive).
-    epoch_end: u64,
 }
 
 const INVALID: u64 = u64::MAX;
 
-/// Epochs are handed out in blocks of this many, so a miss renews the
-/// epoch with a local increment; only exhausting a block touches the
-/// process-wide counter, which sweep workers would otherwise contend on.
-const EPOCH_BLOCK: u64 = 1 << 20;
-
-/// Index of the next unused epoch block. Block 0 is never handed out,
-/// so epoch 0 can mean "no epoch" in memos.
-static NEXT_EPOCH_BLOCK: AtomicU64 = AtomicU64::new(1);
-
-impl Clone for CacheSim {
-    /// The clone keeps the epoch (its tags are identical) but draws a
-    /// fresh block on its first renewal, so the two never hand out the
-    /// same epoch for diverging tags.
-    fn clone(&self) -> Self {
-        CacheSim {
-            tags: self.tags.clone(),
-            next_epoch: 0,
-            epoch_end: 0,
-            ..*self
-        }
-    }
-}
+/// Source of fresh epochs. Starts at 1, so 0 can mean "not drawn".
+static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 impl CacheSim {
     /// Build an empty (all-invalid) cache.
@@ -148,7 +128,7 @@ impl CacheSim {
             "line larger than cache"
         );
         let lines = config.num_lines();
-        let mut c = CacheSim {
+        CacheSim {
             config,
             tags: vec![INVALID; lines as usize].into_boxed_slice(),
             stats: CacheStats::default(),
@@ -156,31 +136,17 @@ impl CacheSim {
             index_mask: (lines - 1) as u64,
             tag_shift: lines.trailing_zeros(),
             epoch: 0,
-            next_epoch: 0,
-            epoch_end: 0,
-        };
-        c.renew_epoch();
-        c
+        }
     }
 
     /// The residency epoch: equal epochs imply identical tag arrays
-    /// (see the module docs).
+    /// (see the module docs). Never 0.
     #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Move to a fresh, process-unique epoch. Called whenever any tag
-    /// may change.
-    #[inline]
-    fn renew_epoch(&mut self) {
-        if self.next_epoch == self.epoch_end {
-            let block = NEXT_EPOCH_BLOCK.fetch_add(1, Ordering::Relaxed);
-            self.next_epoch = block * EPOCH_BLOCK;
-            self.epoch_end = self.next_epoch + EPOCH_BLOCK;
+    pub fn epoch(&mut self) -> u64 {
+        if self.epoch == 0 {
+            self.epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed);
         }
-        self.epoch = self.next_epoch;
-        self.next_epoch += 1;
+        self.epoch
     }
 
     /// The cache geometry.
@@ -203,7 +169,7 @@ impl CacheSim {
         } else {
             self.tags[index] = tag;
             self.stats.misses += 1;
-            self.renew_epoch();
+            self.epoch = 0;
             false
         }
     }
@@ -223,7 +189,7 @@ impl CacheSim {
     /// Invalidate every line (e.g. after a simulated context switch).
     pub fn flush(&mut self) {
         self.tags.fill(INVALID);
-        self.renew_epoch();
+        self.epoch = 0;
     }
 
     /// Hit/miss counters so far.
@@ -259,7 +225,7 @@ impl CacheSim {
         );
         self.tags.copy_from_slice(&state.tags);
         self.stats = state.stats;
-        self.renew_epoch();
+        self.epoch = 0;
     }
 }
 
@@ -384,7 +350,7 @@ mod tests {
         let snap = c.export_state();
         c.import_state(&snap);
         assert!(![e0, e1, e2].contains(&c.epoch()));
-        let d = c.clone();
+        let mut d = c.clone();
         assert_eq!(d.epoch(), c.epoch(), "a clone keeps the epoch");
         // Diverging after the clone never reuses an epoch.
         let (mut a, mut b) = (c, d);

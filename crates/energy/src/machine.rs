@@ -777,6 +777,173 @@ mod tests {
     }
 
     #[test]
+    fn step_charge_seq_is_bit_exact_with_per_plan_replay() {
+        // A merged ChargeSeq must leave the machine bit-identical to
+        // replaying its component dispatches one at a time.
+        let mixes = [
+            InstrMix::new()
+                .with(InstrClass::Load, 1)
+                .with(InstrClass::AluSimple, 2),
+            InstrMix::new().with(InstrClass::AluSimple, 1),
+            InstrMix::new()
+                .with(InstrClass::Load, 2)
+                .with(InstrClass::Branch, 1)
+                .with(InstrClass::AluComplex, 1),
+        ];
+        let plans: Vec<ChargeSeq> = (0..3)
+            .map(|i| {
+                ChargeSeq::compile(
+                    0x1000_0000 + i * 0x40,
+                    InstrClass::Branch,
+                    &mixes[..=i as usize],
+                )
+            })
+            .collect();
+        let seq = ChargeSeq::merge(&plans.iter().collect::<Vec<_>>());
+        assert_eq!(seq.steps(), 3);
+        let mut slow = client();
+        let mut fast = client();
+        for rep in 0..1000u64 {
+            // Interleave other traffic so accumulators hold ugly
+            // partial sums and the fetched lines get evicted.
+            slow.step(rep * 8192, InstrClass::Load, MemOp::Read(rep * 16));
+            fast.step(rep * 8192, InstrClass::Load, MemOp::Read(rep * 16));
+            for p in &plans {
+                slow.step_charge_seq(p);
+            }
+            fast.step_charge_seq(&seq);
+            assert_eq!(slow.breakdown(), fast.breakdown(), "rep {rep}");
+        }
+        assert_eq!(slow.export_state(), fast.export_state());
+        assert_eq!(
+            slow.energy().nanojoules().to_bits(),
+            fast.energy().nanojoules().to_bits()
+        );
+    }
+
+    #[test]
+    fn step_seq_is_bit_exact_with_per_micro_steps() {
+        // Replaying a SeqPlan must leave the machine bit-identical to
+        // the per-micro step loop it compiles: same energy bits, same
+        // cycles, mixes, and cache counters/residency. Every heap micro
+        // takes its own address from the slice, in issue order, and a
+        // `None` entry skips exactly that micro's access.
+        use InstrClass::*;
+        let seqs: Vec<(u64, Vec<(InstrClass, SeqDataRef)>)> = vec![
+            // Unaligned start, crosses a 32-byte line boundary.
+            (
+                20,
+                vec![
+                    (Load, SeqDataRef::None),
+                    (
+                        AluSimple,
+                        SeqDataRef::Frame {
+                            store: false,
+                            offset: 8,
+                        },
+                    ),
+                    (
+                        Store,
+                        SeqDataRef::Frame {
+                            store: true,
+                            offset: 16,
+                        },
+                    ),
+                    (Load, SeqDataRef::Heap { store: false }),
+                    (Branch, SeqDataRef::None),
+                ],
+            ),
+            // Empty sequence.
+            (0, vec![]),
+            // Long sequence spanning many lines.
+            (
+                64,
+                (0..40)
+                    .map(|i| {
+                        (
+                            if i % 3 == 0 { AluComplex } else { Nop },
+                            if i % 7 == 0 {
+                                SeqDataRef::Heap { store: i % 2 == 0 }
+                            } else {
+                                SeqDataRef::None
+                            },
+                        )
+                    })
+                    .collect(),
+            ),
+        ];
+        let mut slow = client();
+        let mut fast = client();
+        let plans: Vec<SeqPlan> = seqs
+            .iter()
+            .map(|(start, micros)| {
+                let at: Vec<(u64, InstrClass, SeqDataRef)> = micros
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(class, mem))| (start + i as u64 * 4, class, mem))
+                    .collect();
+                SeqPlan::compile_at(32, &at)
+            })
+            .collect();
+        let code_base = 0x3000_0040;
+        let frame_base = 0x5000_2000;
+        for rep in 0..500u64 {
+            // Interleave unrelated traffic so accumulators hold ugly
+            // partial sums and cache residency churns.
+            slow.step(rep * 96, Load, MemOp::Read(rep * 40));
+            fast.step(rep * 96, Load, MemOp::Read(rep * 40));
+            for ((start, micros), plan) in seqs.iter().zip(&plans) {
+                // A distinct address per heap micro. Entries are `None`
+                // for a whole replay every fifth rep, and otherwise for
+                // the micros `k` with `k % 3 == rep % 2`.
+                let heap_addrs: Vec<Option<u64>> = (0..plan.heap_micros() as u64)
+                    .map(|k| {
+                        if rep % 5 == 4 || (k % 3 == rep % 2) {
+                            None
+                        } else {
+                            Some(0x8000 + rep * 24 + k * 0x2a8)
+                        }
+                    })
+                    .collect();
+                let mut heap = heap_addrs.iter();
+                let mut pc = code_base + start;
+                for &(class, mem) in micros {
+                    let op = match mem {
+                        SeqDataRef::None => MemOp::None,
+                        SeqDataRef::Frame { store, offset } => {
+                            let a = frame_base + offset;
+                            if store {
+                                MemOp::Write(a)
+                            } else {
+                                MemOp::Read(a)
+                            }
+                        }
+                        SeqDataRef::Heap { store } => match *heap.next().unwrap() {
+                            Some(a) if store => MemOp::Write(a),
+                            Some(a) => MemOp::Read(a),
+                            None => MemOp::None,
+                        },
+                    };
+                    slow.step(pc, class, op);
+                    pc += 4;
+                }
+                assert!(heap.next().is_none(), "one address per heap micro");
+                fast.step_seq(plan, code_base, frame_base, &heap_addrs);
+                assert_eq!(slow.breakdown(), fast.breakdown(), "rep {rep}");
+            }
+        }
+        assert_eq!(slow.cycles(), fast.cycles());
+        assert_eq!(slow.mix(), fast.mix());
+        assert_eq!(slow.icache_stats(), fast.icache_stats());
+        assert_eq!(slow.dcache_stats(), fast.dcache_stats());
+        assert_eq!(slow.export_state(), fast.export_state());
+        assert_eq!(
+            slow.energy().nanojoules().to_bits(),
+            fast.energy().nanojoules().to_bits()
+        );
+    }
+
+    #[test]
     fn ledger_is_the_closed_form_of_the_counts() {
         // Instruction Core energy and DRAM energy are the Fig 1
         // constants times the counts, however the counts were reached;
