@@ -99,7 +99,8 @@ pub struct CacheSim {
     index_mask: u64,
     /// `log2(lines)`: shift from a line address to its tag.
     tag_shift: u32,
-    /// Residency epoch (see the module docs); 0 until drawn.
+    /// Residency epoch (see the module docs); 0 = none drawn since
+    /// the last tag change.
     epoch: u64,
 }
 
@@ -177,10 +178,10 @@ impl CacheSim {
     /// Credit `n` accesses that are guaranteed to hit — used by batched
     /// replay ([`crate::SeqPlan`], [`crate::ChargeSeq`]) when
     /// consecutive fetches stay within a just-accessed line, or when
-    /// the replay's epoch memo proves every fetch resident. Counters advance
-    /// exactly as if [`CacheSim::access`] had been called `n` times
-    /// with the line resident; tags are untouched (hits never modify
-    /// them), so the residency state stays bit-identical too.
+    /// the replay's epoch memo proves every fetch resident. Counters
+    /// advance exactly as if [`CacheSim::access`] had been called `n`
+    /// times with the line resident; tags are untouched (hits never
+    /// modify them), so the residency state stays bit-identical too.
     #[inline]
     pub fn credit_hits(&mut self, n: u64) {
         self.stats.hits += n;
